@@ -10,7 +10,9 @@
 #
 # Stages (limit in seconds):
 #   static  (300) — gofmt, build, vet, docs-freshness greps
-#   unit    (600) — full test suite, -count=1 (no cached results)
+#   unit    (600) — full test suite, -count=1 (no cached results), then
+#                   5 s of each native fuzz target (td.FuzzParse,
+#                   serve.FuzzParseRequest, cert.FuzzDecode)
 #   race    (900) — full suite under the race detector (chase worker
 #                   pool, psearch pool, and the serving layer's
 #                   singleflight/drain paths are all concurrent code)
@@ -185,6 +187,13 @@ stage_static() {
 
 stage_unit() {
     go test -count=1 ./...
+    # The native fuzz targets beyond their seed corpora: the TD parser
+    # against its reference, the /infer wire parser's canonical keys, and
+    # the certificate decoder. New inputs land in Go's cache, not the
+    # tree; a failing input is written under the package's testdata/fuzz.
+    go test -run=NONE -fuzz=^FuzzParse$ -fuzztime=5s ./internal/td
+    go test -run=NONE -fuzz=^FuzzParseRequest$ -fuzztime=5s ./internal/serve
+    go test -run=NONE -fuzz=^FuzzDecode$ -fuzztime=5s ./internal/cert
 }
 
 stage_race() {

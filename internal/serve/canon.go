@@ -315,38 +315,35 @@ func CanonInference(deps []*td.TD, goal *td.TD) string {
 // goals sharing a dependency set and antecedent tableau chase the SAME
 // deterministic computation and can share one snapshot.
 func CanonChaseState(deps []*td.TD, goal *td.TD) string {
-	full := CanonInference(deps, goal)
-	// canonTD renders antecedents '>' conclusion; the last '>' therefore
-	// cuts exactly the goal's conclusion row off the full key.
-	return "cs:" + full[:strings.LastIndexByte(full, '>')]
+	return chaseStateKey(CanonInference(deps, goal))
 }
 
+// chaseStateKey cuts a CanonInference key down to its CanonChaseState key.
+func chaseStateKey(inference string) string {
+	// canonTD renders antecedents '>' conclusion; the last '>' therefore
+	// cuts exactly the goal's conclusion row off the full key.
+	return "cs:" + inference[:strings.LastIndexByte(inference, '>')]
+}
+
+// canonTD renders d's tableau: rows of '.'-joined variable indices,
+// antecedents joined by '&', then '>' and the conclusion.
 func canonTD(d *td.TD) string {
-	row := func(r []int) string {
-		parts := make([]string, len(r))
-		for i, v := range r {
-			parts[i] = strconv.Itoa(v)
+	rows := d.Tableau().Rows()
+	// Indices below 100 take at most three bytes with their separator.
+	b := make([]byte, 0, 3*len(rows)*d.Schema().Width())
+	for i, r := range rows {
+		switch {
+		case i == len(rows)-1:
+			b = append(b, '>')
+		case i > 0:
+			b = append(b, '&')
 		}
-		return strings.Join(parts, ".")
-	}
-	var b strings.Builder
-	for i := 0; i < d.NumAntecedents(); i++ {
-		if i > 0 {
-			b.WriteByte('&')
+		for a, v := range r {
+			if a > 0 {
+				b = append(b, '.')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
 		}
-		vt := d.Antecedent(i)
-		vals := make([]int, len(vt))
-		for a, v := range vt {
-			vals[a] = int(v)
-		}
-		b.WriteString(row(vals))
 	}
-	b.WriteByte('>')
-	vt := d.Conclusion()
-	vals := make([]int, len(vt))
-	for a, v := range vt {
-		vals[a] = int(v)
-	}
-	b.WriteString(row(vals))
-	return b.String()
+	return string(b)
 }

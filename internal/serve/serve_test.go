@@ -402,3 +402,34 @@ func TestCanonicalizationSharesCacheAcrossRenaming(t *testing.T) {
 		t.Fatalf("engine ran %d times", r.count())
 	}
 }
+
+func TestRequestBodyLimit(t *testing.T) {
+	s := New(Config{RequestTimeout: 5 * time.Second})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// The request is padded with leading whitespace, which the decoder
+	// must read through, to exactly size bytes.
+	post := func(size int) (int, map[string]any) {
+		t.Helper()
+		body := `{"preset":"power"}`
+		padded := strings.Repeat(" ", size-len(body)) + body
+		resp, err := http.Post(srv.URL+"/infer", "application/json", strings.NewReader(padded))
+		if err != nil {
+			t.Fatalf("POST %d bytes: %v", size, err)
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return resp.StatusCode, m
+	}
+	if code, m := post(maxRequestBytes); code != http.StatusOK || m["verdict"] == nil {
+		t.Fatalf("body at the limit: %d %v", code, m)
+	}
+	if code, m := post(maxRequestBytes + 1); code != http.StatusRequestEntityTooLarge || m["error"] == nil {
+		t.Fatalf("body over the limit: %d %v, want 413 with an error", code, m)
+	}
+}

@@ -60,31 +60,59 @@ type Tableau struct {
 
 // New builds a tableau from rows, renumbering variables densely per column.
 // Variable identity is preserved within a column: rows sharing a variable
-// index in the input share the renumbered variable.
+// index in the input share the renumbered variable. Rows already numbered
+// in first-occurrence order per column (what td.Parse, diagram.TD and
+// Format→Parse produce) are copied as they are; any other numbering goes
+// through a per-column renumbering map.
 func New(s *relation.Schema, rows []VarTuple) (*Tableau, error) {
-	t := &Tableau{schema: s, varCount: make([]int, s.Width())}
-	remap := make([]map[Var]Var, s.Width())
-	for a := range remap {
-		remap[a] = make(map[Var]Var)
-	}
+	w := s.Width()
+	t := &Tableau{schema: s, varCount: make([]int, w)}
+	inOrder := true
 	for ri, r := range rows {
-		if len(r) != s.Width() {
-			return nil, fmt.Errorf("tableau: row %d has width %d, want %d", ri, len(r), s.Width())
+		if len(r) != w {
+			return nil, fmt.Errorf("tableau: row %d has width %d, want %d", ri, len(r), w)
 		}
-		nr := make(VarTuple, len(r))
 		for a, v := range r {
 			if v < 0 {
 				return nil, fmt.Errorf("tableau: negative variable in row %d column %s", ri, s.Name(relation.Attr(a)))
 			}
+			// In first-occurrence order, every variable is either one
+			// already seen (below the count) or the next fresh one.
+			if inOrder && int(v) >= t.varCount[a] {
+				if int(v) == t.varCount[a] {
+					t.varCount[a]++
+				} else {
+					inOrder = false
+				}
+			}
+		}
+	}
+	cells := make(VarTuple, len(rows)*w)
+	t.rows = make([]VarTuple, len(rows))
+	for ri := range rows {
+		t.rows[ri] = cells[ri*w : (ri+1)*w : (ri+1)*w]
+	}
+	if inOrder {
+		for ri, r := range rows {
+			copy(t.rows[ri], r)
+		}
+		return t, nil
+	}
+	clear(t.varCount)
+	remap := make([]map[Var]Var, w)
+	for a := range remap {
+		remap[a] = make(map[Var]Var)
+	}
+	for ri, r := range rows {
+		for a, v := range r {
 			nv, ok := remap[a][v]
 			if !ok {
 				nv = Var(t.varCount[a])
 				remap[a][v] = nv
 				t.varCount[a]++
 			}
-			nr[a] = nv
+			t.rows[ri][a] = nv
 		}
-		t.rows = append(t.rows, nr)
 	}
 	return t, nil
 }

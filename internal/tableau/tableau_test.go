@@ -27,6 +27,30 @@ func TestNewRenumbering(t *testing.T) {
 	}
 }
 
+func TestNewInOrderRows(t *testing.T) {
+	s := twoCol()
+	in := []VarTuple{{0, 0}, {0, 1}, {1, 1}}
+	tab, err := New(s, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.VarCount(0) != 2 || tab.VarCount(1) != 2 {
+		t.Errorf("var counts = %d, %d", tab.VarCount(0), tab.VarCount(1))
+	}
+	in[1][1] = 5
+	if tab.Row(1)[1] != 1 {
+		t.Error("tableau aliases its input rows")
+	}
+	// Out of order after an in-order prefix: the renumbering restarts.
+	tab, err = New(s, []VarTuple{{0, 0}, {0, 2}, {1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.VarCount(0) != 2 || tab.VarCount(1) != 3 || tab.Row(1)[1] != 1 || tab.Row(2)[1] != 2 {
+		t.Errorf("renumbered rows %v, counts %d, %d", tab.Rows(), tab.VarCount(0), tab.VarCount(1))
+	}
+}
+
 func TestNewErrors(t *testing.T) {
 	s := twoCol()
 	if _, err := New(s, []VarTuple{{1}}); err == nil {

@@ -17,85 +17,111 @@ import (
 // attribute. Variable tokens are arbitrary names without commas, spaces, or
 // parentheses; primes and stars are welcome. The typing restriction is
 // enforced: using the same token in two different columns is an error.
+//
+// Parsing costs time linear in len(input): one scan of the text and one
+// token map for the whole TD.
 func Parse(s *relation.Schema, input, name string) (*TD, error) {
 	input = strings.TrimSpace(input)
-	sep := "->"
 	idx := strings.Index(input, "->")
 	if idx < 0 {
 		idx = strings.Index(input, "=>")
-		sep = "=>"
 	}
 	if idx < 0 {
 		return nil, fmt.Errorf("td: missing '->' in %q", input)
 	}
-	left, right := input[:idx], input[idx+len(sep):]
+	left, right := input[:idx], input[idx+2:]
 
-	// Token-to-variable maps, per column, plus a global token->column map to
-	// enforce typing.
-	varOf := make([]map[string]tableau.Var, s.Width())
-	for a := range varOf {
-		varOf[a] = make(map[string]tableau.Var)
+	// Rows are at most one per '&'-separated antecedent plus the
+	// conclusion, and no more than the text can spell out (a row takes at
+	// least 2w+2 bytes); their cells share one backing array, and the
+	// token map is sized for every cell holding a distinct token, which is
+	// nearly so on the reduction's TDs.
+	w := s.Width()
+	maxRows := min(strings.Count(left, "&")+2, len(input)/(2*w+2)+1)
+	p := atomParser{
+		s:     s,
+		toks:  make(map[string]tokenVar, maxRows*w),
+		next:  make([]tableau.Var, w),
+		cells: make([]tableau.Var, 0, maxRows*w),
 	}
-	next := make([]tableau.Var, s.Width())
-	colOf := make(map[string]int)
-
-	parseAtom := func(atom string) (tableau.VarTuple, error) {
-		atom = strings.TrimSpace(atom)
-		if !strings.HasPrefix(atom, "R(") || !strings.HasSuffix(atom, ")") {
-			return nil, fmt.Errorf("td: atom %q must have the form R(...)", atom)
-		}
-		inner := atom[2 : len(atom)-1]
-		parts := strings.Split(inner, ",")
-		if len(parts) != s.Width() {
-			return nil, fmt.Errorf("td: atom %q has %d components, want %d", atom, len(parts), s.Width())
-		}
-		row := make(tableau.VarTuple, s.Width())
-		for a, tok := range parts {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				return nil, fmt.Errorf("td: empty variable in atom %q", atom)
-			}
-			if strings.ContainsAny(tok, "() &") {
-				return nil, fmt.Errorf("td: bad variable token %q", tok)
-			}
-			if prev, seen := colOf[tok]; seen && prev != a {
-				return nil, fmt.Errorf("td: variable %q appears in columns %s and %s; the typing restriction forbids this",
-					tok, s.Name(relation.Attr(prev)), s.Name(relation.Attr(a)))
-			}
-			colOf[tok] = a
-			v, ok := varOf[a][tok]
-			if !ok {
-				v = next[a]
-				next[a]++
-				varOf[a][tok] = v
-			}
-			row[a] = v
-		}
-		return row, nil
-	}
-
-	var antecedents []tableau.VarTuple
-	for _, atom := range strings.Split(left, "&") {
+	for more := true; more; {
+		var atom string
+		atom, left, more = strings.Cut(left, "&")
 		if strings.TrimSpace(atom) == "" {
 			continue
 		}
-		row, err := parseAtom(atom)
-		if err != nil {
+		if err := p.atom(atom); err != nil {
 			return nil, err
 		}
-		antecedents = append(antecedents, row)
 	}
-	if len(antecedents) == 0 {
+	if len(p.cells) == 0 {
 		return nil, fmt.Errorf("td: no antecedents in %q", input)
 	}
-	if strings.Contains(right, "&") {
+	if strings.IndexByte(right, '&') >= 0 {
 		return nil, fmt.Errorf("td: a template dependency has a single conclusion atom (use package eid for conjunctive conclusions)")
 	}
-	conclusion, err := parseAtom(right)
-	if err != nil {
+	if err := p.atom(right); err != nil {
 		return nil, err
 	}
-	return New(s, antecedents, conclusion, name)
+	rows := make([]tableau.VarTuple, len(p.cells)/w)
+	for i := range rows {
+		rows[i] = p.cells[i*w : (i+1)*w : (i+1)*w]
+	}
+	return New(s, rows[:len(rows)-1], rows[len(rows)-1], name)
+}
+
+// tokenVar is the column and per-column variable a token denotes.
+type tokenVar struct {
+	col, v int32
+}
+
+// atomParser holds one TD's parse state: the token map (one entry per
+// distinct token, which also enforces the typing restriction), the next
+// free variable per column, and the row cells parsed so far. Variables are
+// numbered in first-occurrence order per column, the order tableau.New
+// keeps without renumbering.
+type atomParser struct {
+	s     *relation.Schema
+	toks  map[string]tokenVar
+	next  []tableau.Var
+	cells []tableau.Var
+}
+
+// atom parses one R(...) atom and appends its row to p.cells.
+func (p *atomParser) atom(atom string) error {
+	atom = strings.TrimSpace(atom)
+	if !strings.HasPrefix(atom, "R(") || !strings.HasSuffix(atom, ")") {
+		return fmt.Errorf("td: atom %q must have the form R(...)", atom)
+	}
+	inner := atom[2 : len(atom)-1]
+	w := p.s.Width()
+	if n := strings.Count(inner, ",") + 1; n != w {
+		return fmt.Errorf("td: atom %q has %d components, want %d", atom, n, w)
+	}
+	for a := 0; a < w; a++ {
+		var tok string
+		tok, inner, _ = strings.Cut(inner, ",")
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			return fmt.Errorf("td: empty variable in atom %q", atom)
+		}
+		for i := 0; i < len(tok); i++ {
+			if c := tok[i]; c == '(' || c == ')' || c == ' ' || c == '&' {
+				return fmt.Errorf("td: bad variable token %q", tok)
+			}
+		}
+		tv, seen := p.toks[tok]
+		if !seen {
+			tv = tokenVar{col: int32(a), v: int32(p.next[a])}
+			p.next[a]++
+			p.toks[tok] = tv
+		} else if int(tv.col) != a {
+			return fmt.Errorf("td: variable %q appears in columns %s and %s; the typing restriction forbids this",
+				tok, p.s.Name(relation.Attr(tv.col)), p.s.Name(relation.Attr(a)))
+		}
+		p.cells = append(p.cells, tableau.Var(tv.v))
+	}
+	return nil
 }
 
 // MustParse is Parse that panics on error.
@@ -111,13 +137,15 @@ func MustParse(s *relation.Schema, input, name string) *TD {
 // skipped. Each TD may be prefixed with "name:".
 func ParseSet(s *relation.Schema, input string) ([]*TD, error) {
 	var out []*TD
-	for ln, line := range strings.Split(input, "\n") {
+	for ln, more := 0, true; more; ln++ {
+		var line string
+		line, input, more = strings.Cut(input, "\n")
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		name := ""
-		if i := strings.Index(line, ":"); i >= 0 && !strings.Contains(line[:i], "(") {
+		if i := strings.IndexByte(line, ':'); i >= 0 && strings.IndexByte(line[:i], '(') < 0 {
 			name = strings.TrimSpace(line[:i])
 			line = line[i+1:]
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"templatedep/internal/relation"
 	"templatedep/internal/tableau"
@@ -188,31 +189,45 @@ func (d *TD) FrozenAntecedents() (*relation.Instance, tableau.Assignment) {
 // Variable names are the lower-cased column name followed by the variable
 // index.
 func (d *TD) Format() string {
-	s := d.Schema()
-	prefixes := columnPrefixes(s)
-	atom := func(r tableau.VarTuple) string {
-		var b strings.Builder
+	prefixes := columnPrefixes(d.Schema())
+	rows := d.tab.Rows()
+	// A row takes "R(" and ")", a prefix, an index and at most ", " per
+	// column, and at most " -> " before it; indices are sized by the
+	// column's largest one, so the buffer never grows.
+	rowLen := 3 + 4
+	for a, p := range prefixes {
+		rowLen += len(p) + decimalLen(d.tab.VarCount(relation.Attr(a))) + 2
+	}
+	var b strings.Builder
+	b.Grow(len(rows) * rowLen)
+	var num [20]byte
+	for i, r := range rows {
+		switch {
+		case i == len(rows)-1:
+			b.WriteString(" -> ")
+		case i > 0:
+			b.WriteString(" & ")
+		}
 		b.WriteString("R(")
 		for a, v := range r {
 			if a > 0 {
 				b.WriteString(", ")
 			}
 			b.WriteString(prefixes[a])
-			b.WriteString(strconv.Itoa(int(v)))
+			b.Write(strconv.AppendInt(num[:0], int64(v), 10))
 		}
-		b.WriteString(")")
-		return b.String()
+		b.WriteByte(')')
 	}
-	var b strings.Builder
-	for i := 0; i < d.NumAntecedents(); i++ {
-		if i > 0 {
-			b.WriteString(" & ")
-		}
-		b.WriteString(atom(d.tab.Row(i)))
-	}
-	b.WriteString(" -> ")
-	b.WriteString(atom(d.Conclusion()))
 	return b.String()
+}
+
+// decimalLen returns the number of decimal digits of n >= 0.
+func decimalLen(n int) int {
+	l := 1
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
 }
 
 // String renders the TD with its name.
@@ -223,13 +238,28 @@ func (d *TD) String() string {
 	return d.name + ": " + d.Format()
 }
 
+// prefixMemo holds the column prefixes of the schema formatted last. The
+// TDs of one set share their schema, so rendering a set (a request's
+// dependencies, a certificate's problem) derives the prefixes once. Like a
+// sync.Pool it is invisible to callers: it memoizes a pure function of an
+// immutable schema.
+var prefixMemo atomic.Pointer[schemaPrefixes]
+
+type schemaPrefixes struct {
+	schema   *relation.Schema
+	prefixes []string
+}
+
 // columnPrefixes derives one variable-name prefix per column: the
 // lower-cased, digit-stripped column name, disambiguated with the column
 // position whenever two columns collapse to the same prefix (K0' and K1'
 // both yield k'). Distinct prefixes per column keep the rendered text
 // inside the typing restriction, so Format round-trips through Parse on
-// every schema.
+// every schema. The result may be shared and must not be modified.
 func columnPrefixes(s *relation.Schema) []string {
+	if m := prefixMemo.Load(); m != nil && m.schema == s {
+		return m.prefixes
+	}
 	n := s.Width()
 	out := make([]string, n)
 	count := make(map[string]int, n)
@@ -242,6 +272,7 @@ func columnPrefixes(s *relation.Schema) []string {
 			out[a] = out[a] + "c" + strconv.Itoa(a) + "v"
 		}
 	}
+	prefixMemo.Store(&schemaPrefixes{schema: s, prefixes: out})
 	return out
 }
 

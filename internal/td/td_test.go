@@ -2,6 +2,7 @@ package td
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"templatedep/internal/relation"
@@ -249,4 +250,37 @@ func TestParsePrimesAndStars(t *testing.T) {
 	if d.IsFull() {
 		t.Error("a* is existential")
 	}
+}
+
+// TestFormatConcurrentSchemas formats TDs over two schemas from several
+// goroutines at once, so the per-schema prefix memo is shared and
+// replaced concurrently; every rendering must still be the reference one.
+func TestFormatConcurrentSchemas(t *testing.T) {
+	var ds []*TD
+	for _, s := range fuzzSchemas {
+		// Each token may occur in one column only; name them by column.
+		row := func(v string) string {
+			cols := make([]string, s.Width())
+			for a := range cols {
+				cols[a] = v + string(rune('a'+a))
+			}
+			return "R(" + strings.Join(cols, ", ") + ")"
+		}
+		ds = append(ds, MustParse(s, row("x")+" & "+row("y")+" -> "+row("z"), ""))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				d := ds[(g+i)%len(ds)]
+				if got, want := d.Format(), refFormat(d); got != want {
+					t.Errorf("Format %q, reference %q", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
